@@ -19,65 +19,52 @@ the ``vector_classify`` span):
 * vectorizable kernels run optimistically; a runtime trap (semantics the
   columnar lowering cannot reproduce for *these* inputs) rolls back every
   store and re-runs the chunk on the scalar path, so results never
-  diverge; sticky traps (cross-lane hazards) disable the kernel for the
-  rest of the runtime.
+  diverge; sticky traps (cross-lane hazards) and launches at a mask
+  occupancy too low to pay off route the kernel scalar from then on.
+
+The program owns all of this: columnar code and routing live on the
+compiled program (:class:`VectorState`), never in the process, so a
+fresh compile starts cold and runtimes running one program concurrently
+need no lock beyond the one inside each code cache.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .gpu import GpuBackend
 
-# Process-wide state shared by every VectorBackend instance.  Compiled
-# VectorFunctions depend only on the IR (which ``Workload.compile``
-# caches per process) and the region's SVM translation constant, so the
-# compile cost is paid once per program, not once per runtime.  The
-# scalar memo remembers kernels the optimistic path gave up on — a
-# cross-lane hazard or an occupancy too low for columnar execution to
-# win — so later runtimes skip the doomed vector attempt entirely
-# (either path yields bit-identical traces; this is purely a heuristic).
-#
-# All three are keyed by the program's content-hash ``program_id``
-# (``repro.runtime.compiler``): two different programs can never alias an
-# entry (the old shape-based key collided for same-named kernels with
-# equal block/instruction counts), while recompiles of the same
-# (source, options) pair — including warm loads from the artifact store —
-# share the memos, exactly as intended.
-_SHARED_CACHES: dict = {}  # (program_id, svm_const) -> VectorCodeCache
-_SCALAR_KERNELS: dict = {}  # (program_id, kernel name) -> reason string
-_GNARLY_KERNELS: dict = {}  # (program_id, kernel name) -> gnarly reason
 
+class VectorState:
+    """What the vector engine learns about one compiled program at run
+    time.  The program owns it (``CompiledProgram.vector_state``), the
+    way Concord caches JIT results on ``gpu_program_t`` (paper section
+    3.4): every runtime that runs the program shares it, it dies with
+    the program, and it never enters the program's pickle, id or
+    equality.  Routing is purely a heuristic — either path yields
+    bit-identical traces."""
 
-def _memo_key(program_id, kernel):
-    """Stable across recompiles *and* processes for the same
-    (source, options) pair — ``program_id`` is a content hash — while
-    distinguishing same-named kernels from different programs (fuzz
-    generators reuse class names)."""
-    return (program_id, kernel.name)
+    def __init__(self):
+        #: svm_const -> VectorCodeCache; compiled steps bake in only the
+        #: region's SVM translation constant
+        self.code: dict = {}
+        #: kernel name -> why it can never vectorize
+        self.gnarly: dict = {}
+        #: kernel name -> why its launches go straight to the scalar path
+        #: (a sticky cross-lane hazard, or a mask occupancy too low for
+        #: columnar execution to win)
+        self.scalar: dict = {}
 
+    def code_cache(self, svm_const: int):
+        cache = self.code.get(svm_const)
+        if cache is None:
+            from ..exec.vector import VectorCodeCache
 
-def clear_memos() -> None:
-    """Drop the process-wide classification/fallback memos (test support:
-    differential oracles clear them so every run exercises the optimistic
-    vector path from scratch)."""
-    _SCALAR_KERNELS.clear()
-    _GNARLY_KERNELS.clear()
+            cache = self.code.setdefault(svm_const, VectorCodeCache(svm_const))
+        return cache
 
-
-def reset_process_caches() -> None:
-    """Reset *every* process-wide vector-engine cache, not just the
-    classification memos: ``_SHARED_CACHES`` keeps compiled columnar
-    kernels keyed by svm_const, which :func:`clear_memos` never touched —
-    an oracle run could therefore replay a kernel compiled under an
-    earlier iteration's region layout.  Fuzz oracles call this between
-    runs so each one starts from a genuinely cold process state."""
-    clear_memos()
-    _SHARED_CACHES.clear()
 
 # Below this active-lane-slot ratio the dense segments are so small that
 # per-ufunc overhead beats the scalar engine; measured once on the first
-# vector launch of a kernel, then routed scalar for the process.
+# vector launch of a kernel, then routed scalar for the program.
 _MIN_OCCUPANCY = 0.12
 
 
@@ -90,37 +77,30 @@ class VectorBackend(GpuBackend):
     def __init__(self, rt):
         super().__init__(rt)
         # kernel name -> ("gnarly", reason, None) | (kind, "", VectorFunction)
+        # for this runtime's layout; also keeps the vector.kernels_*
+        # counters at once per kernel per runtime
         self._status: dict = {}
-        self._sticky: set = set()
 
     # -- classification ----------------------------------------------------
-
-    def _vector_cache(self):
-        from ..exec.vector import VectorCodeCache
-
-        key = (self.rt.program.program_id, int(self.rt.region.svm_const))
-        cache = _SHARED_CACHES.get(key)
-        if cache is None:
-            cache = _SHARED_CACHES[key] = VectorCodeCache(self.rt.region)
-        return cache
 
     def _classify(self, kernel):
         got = self._status.get(kernel.name)
         if got is not None:
             return got
-        memo = _memo_key(self.rt.program.program_id, kernel)
-        reason = _GNARLY_KERNELS.get(memo)
+        state = self.rt.program.vector_state
+        reason = state.gnarly.get(kernel.name)
         if reason is not None:
             got = ("gnarly", reason, None)
         else:
             from ..exec.vector import classify_kernel
 
+            cache = state.code_cache(int(self.rt.region.svm_const))
             with self.rt._span(
                 "vector_classify", "vector", kernel=kernel.name
             ):
-                got = classify_kernel(self._vector_cache(), kernel)
+                got = classify_kernel(cache, kernel)
             if got[0] == "gnarly":
-                _GNARLY_KERNELS[memo] = got[1]
+                state.gnarly[kernel.name] = got[1]
         self._status[kernel.name] = got
         counters = self._counters()
         if counters is not None:
@@ -137,8 +117,8 @@ class VectorBackend(GpuBackend):
         if len(span) == 0:
             return super()._gpu_traces(kernel, span, args_of, budget)
         counters = self._counters()
-        memo = _memo_key(rt.program.program_id, kernel)
-        if kernel.name in self._sticky or memo in _SCALAR_KERNELS:
+        state = rt.program.vector_state
+        if kernel.name in state.scalar:
             # A past launch hit a cross-lane hazard or ran at an
             # occupancy where columnar execution loses; skip even the
             # classification compile and go straight to the scalar path.
@@ -172,8 +152,7 @@ class VectorBackend(GpuBackend):
                 )
         except VectorFallback as fb:
             if fb.sticky:
-                self._sticky.add(kernel.name)
-                _SCALAR_KERNELS[memo] = str(fb)
+                state.scalar[kernel.name] = str(fb)
             if counters is not None:
                 counters.add("vector.fallbacks")
             return super()._gpu_traces(kernel, span, args_of, budget)
@@ -186,7 +165,7 @@ class VectorBackend(GpuBackend):
             # This launch already ran (and its results stand), but the
             # mask occupancy says columnar execution loses to the scalar
             # engine here — route future launches of this kernel scalar.
-            _SCALAR_KERNELS[memo] = "low mask occupancy"
+            state.scalar[kernel.name] = "low mask occupancy"
         if counters is not None:
             # The scalar engines bump engine.invocations once per
             # call_function; one vector launch is n of those.

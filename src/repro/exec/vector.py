@@ -60,7 +60,7 @@ engine with no attempt cost.
 from __future__ import annotations
 
 import math
-from typing import Optional
+import threading
 
 try:
     import numpy as np
@@ -73,14 +73,12 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
 
 from ..ir.intrinsics import MATH_EVAL
 from ..ir.types import FloatType, IntType, PointerType, VoidType
-from ..ir.values import Constant, Function, GlobalVariable, Instruction
+from ..ir.values import Constant, Function, GlobalVariable
 from .buffers import MemEventColumns
 from .compiled import (
-    _DIV_OPS,
     _T_BR,
     _T_CONDBR,
     _T_RET,
-    _UNSIGNED_MASK_OPS,
     plan_function,
 )
 from .interp import (
@@ -185,14 +183,6 @@ def _u64(x):
     if isinstance(x, np.ndarray):
         return x.view(_U64)
     return np.uint64(int(x) & _MASK64)
-
-
-def _i64(x):
-    """int64 view of a uint64 result."""
-    if isinstance(x, np.ndarray):
-        return x.view(_I64)
-    pattern = int(x) & _MASK64
-    return pattern - (1 << 64) if pattern >= 1 << 63 else pattern
 
 
 def _finisher_vec(type_):
@@ -1510,31 +1500,41 @@ class _VUnit:
 class VectorCodeCache:
     """Compiled :class:`VectorFunction` per IR function, with recursion
     detection via the in-progress set (a recursive cycle cannot be
-    lane-synchronously scheduled, so it is gnarly)."""
+    lane-synchronously scheduled, so it is gnarly).
 
-    def __init__(self, region):
+    Builds are serialized by a re-entrant lock, so the in-progress set
+    only ever holds the building thread's call chain: a thread asking
+    for a function another thread is building waits for it instead of
+    mistaking it for recursion."""
+
+    def __init__(self, svm_const: int):
         # Only the SVM translation constant is baked into compiled steps;
-        # everything else late-binds through the machine, so a cache can
-        # be shared by every runtime whose region uses the same constant
-        # (holding the region itself alive here would pin its buffers).
-        self.svm_const = int(region.svm_const)
+        # everything else late-binds through the machine, so a cache
+        # serves every runtime whose region uses the same constant.
+        self.svm_const = int(svm_const)
         self._cache: dict = {}
         self._building: set = set()
+        self._lock = threading.RLock()
 
     def get(self, fn: Function) -> "VectorFunction":
         vfn = self._cache.get(fn)
-        if vfn is not None:
-            if vfn.__class__ is str:  # memoized gnarly reason
-                raise _Gnarly(vfn)
-            return vfn
+        if vfn is None:
+            with self._lock:
+                vfn = self._cache.get(fn)
+                if vfn is None:
+                    vfn = self._build(fn)
+        if vfn.__class__ is str:  # memoized gnarly reason
+            raise _Gnarly(vfn)
+        return vfn
+
+    def _build(self, fn: Function):
         if fn in self._building:
             raise _Gnarly(f"recursion through {fn.name}")
         self._building.add(fn)
         try:
             vfn = VectorFunction(fn, self)
         except _Gnarly as exc:
-            self._cache[fn] = str(exc)
-            raise
+            vfn = str(exc)
         finally:
             self._building.discard(fn)
         self._cache[fn] = vfn

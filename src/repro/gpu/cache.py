@@ -3,21 +3,13 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class CacheStats:
     hits: int = 0
     misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
 
 
 class CacheModel:
@@ -31,9 +23,6 @@ class CacheModel:
         self.num_sets = size_bytes // (line_bytes * assoc)
         self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
-
-    def line_of(self, address: int) -> int:
-        return address // self.line_bytes
 
     def access(self, line: int) -> bool:
         """Touch a line; returns True on hit."""

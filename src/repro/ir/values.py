@@ -261,9 +261,6 @@ class BasicBlock:
     def phis(self) -> list[Instruction]:
         return [i for i in self.instructions if i.op == "phi"]
 
-    def non_phis(self) -> list[Instruction]:
-        return [i for i in self.instructions if i.op != "phi"]
-
     def first_non_phi_index(self) -> int:
         for idx, instr in enumerate(self.instructions):
             if instr.op != "phi":

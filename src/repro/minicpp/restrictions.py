@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir import Function, Instruction, Module
+from ..ir import Function, Module
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,3 @@ def _check_one(function: Function) -> list[Violation]:
                 )
             )
     return violations
-
-
-def direct_self_recursion(function: Function) -> bool:
-    return any(
-        instr.op == "call" and instr.callee is function
-        for instr in function.instructions()
-    )

@@ -167,9 +167,6 @@ class Telemetry:
         """Forwarding target installed into ``CounterRegistry._sink``."""
         self.emit("counter", name, delta=delta)
 
-    def add_sink(self, sink) -> None:
-        self.sinks.append(sink)
-
     def flush(self) -> None:
         for sink in self.sinks:
             flush = getattr(sink, "flush", None)

@@ -32,8 +32,8 @@ serve``).
 Because ``program_id`` is a content hash, it is stable across processes
 and across recompiles of the same (source, options) pair, and two
 different programs can never alias a ``(program_id, kernel_name)`` JIT
-or vector-code cache entry — the old per-process ``itertools.count`` id
-gave neither guarantee.
+cache entry — the old per-process ``itertools.count`` id gave neither
+guarantee.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import ir
+from ..backend.vector import VectorState
 from ..ir import Function, FunctionType, IRBuilder, Module
-from ..ir.intrinsics import GPU_GLOBAL_ID
-from ..ir.types import I32, PointerType, VOID, ptr
+from ..ir.types import I32, VOID, ptr
 from ..minicpp import Sema, UnitLowerer, check_kernel, parse
 from ..minicpp.sema import ClassInfo
 from ..passes import OptConfig, PassManager, kernel_pipeline, standard_pipeline
@@ -184,18 +184,34 @@ class CompiledProgram:
     config: OptConfig
     source: str
     #: Content hash of (source, options, pass config, version salt) — the
-    #: closure stage's hash.  The runtime's gpu_function_t cache and the
-    #: vector-code memos are keyed by ``(program_id, kernel_name)``:
-    #: kernel names repeat across programs (every workload calls its body
-    #: ``operator()``), and the content hash keeps two *different*
-    #: programs' entries from ever colliding while letting two compiles
-    #: of the *same* (source, options) pair share process-wide caches —
-    #: the id is stable across processes, unlike the per-process counter
-    #: it replaced.  Direct constructions that bypass :func:`closure_stage`
-    #: get a process-unique ``anon:<n>`` fallback so they still never alias.
+    #: closure stage's hash.  The runtime's gpu_function_t cache is keyed
+    #: by ``(program_id, kernel_name)``: kernel names repeat across
+    #: programs (every workload calls its body ``operator()``), and the
+    #: content hash keeps two *different* programs' entries from ever
+    #: colliding; the id is stable across processes, unlike the
+    #: per-process counter it replaced.  Direct constructions that bypass
+    #: :func:`closure_stage` get a process-unique ``anon:<n>`` fallback so
+    #: they still never alias.
     program_id: str = field(
         default_factory=lambda: f"anon:{next(_ANON_IDS)}"
     )
+    #: What the vector engine learns about this program at run time
+    #: (columnar code, per-kernel routing; ``repro.backend.vector``).  The
+    #: program owns it, so it lives and dies with the program and a fresh
+    #: compile starts cold.  It is run-time state, not part of the
+    #: program: kept out of equality, repr and the pickle.
+    vector_state: VectorState = field(
+        default_factory=VectorState, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["vector_state"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.vector_state = VectorState()
 
     def kernel_for(self, class_name: str) -> KernelInfo:
         if class_name not in self.kernels:

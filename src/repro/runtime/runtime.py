@@ -35,7 +35,7 @@ from ..exec.buffers import DEFAULT_MEM_EVENT_CAP, MemEventColumns, PrivateMemory
 from ..exec.compiled import CodeCache, CompiledEngine
 from ..exec.interp import ExecTrace, Interpreter
 from ..gpu.timing import DeviceReport
-from ..ir.types import StructType, Type
+from ..ir.types import Type
 from ..minicpp.sema import ClassInfo
 from ..sched import DEFAULT_POLICY, Scheduler
 from ..svm import (
@@ -221,14 +221,14 @@ class ConcordRuntime:
 
     def _load_program(self) -> None:
         module = self.program.module
-        symbol_ids = getattr(module, "symbol_ids", {})
         # Ensure every virtual function has a symbol id (devirt assigns them
-        # lazily; CPU dispatch needs them all).
+        # lazily; CPU dispatch needs them all).  The completed table is
+        # this runtime's: runtimes sharing the program never write to it.
+        symbol_ids = dict(getattr(module, "symbol_ids", {}))
         for class_name, slots in module.vtables.items():
             for fn in slots:
                 if fn.name not in symbol_ids:
                     symbol_ids[fn.name] = 0x1000 + len(symbol_ids)
-        module.symbol_ids = symbol_ids
         self._symbols = {
             sid: module.functions[name]
             for name, sid in symbol_ids.items()

@@ -25,12 +25,13 @@ lock-free observer ever being shared across threads.  ``service.*``
 counters account stage hits/misses, corrupt artifacts, evictions,
 requests and errors.
 
-Isolation: compile requests are truly concurrent (each works on its own
-artifacts; store writes are atomic).  Run requests are serialized under
-one executor lock and bracketed by a snapshot/restore of the vector
-engine's process-wide memos, so one tenant's classification outcomes
-(sticky fallbacks, occupancy routing) can never leak into another
-request's run — per-request isolation of process-wide state.
+Isolation: compile and run requests are both truly concurrent.  A
+compile works on its own artifacts (store writes are atomic); a run
+builds its own runtime, and whatever the vector engine learns about a
+program (columnar code, kernel routing) lives on that program, not in
+the process.  Runs of one program from the memory cache share it —
+routing only picks which engine executes the lanes, and both produce
+identical traces, so no request's numbers depend on another's.
 """
 
 from __future__ import annotations
@@ -78,33 +79,6 @@ def _resolve_config(spec) -> OptConfig:
     raise ValueError(f"config must be a label or object, got {type(spec).__name__}")
 
 
-class _MemoGuard:
-    """Snapshot/restore of the vector engine's process-wide memos around
-    one run request (tenant isolation; see module docstring)."""
-
-    def __enter__(self):
-        from ..backend import vector as v
-
-        self._saved = (
-            dict(v._SHARED_CACHES),
-            dict(v._SCALAR_KERNELS),
-            dict(v._GNARLY_KERNELS),
-        )
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        from ..backend import vector as v
-
-        shared, scalar, gnarly = self._saved
-        v._SHARED_CACHES.clear()
-        v._SHARED_CACHES.update(shared)
-        v._SCALAR_KERNELS.clear()
-        v._SCALAR_KERNELS.update(scalar)
-        v._GNARLY_KERNELS.clear()
-        v._GNARLY_KERNELS.update(gnarly)
-        return False
-
-
 class CompileService:
     """The request handlers, independent of any transport (the HTTP layer
     below and the in-process tests both drive this object directly)."""
@@ -129,8 +103,6 @@ class CompileService:
         #: guards the shared observer/telemetry/aggregator (they are not
         #: thread-safe; requests record into private observers and merge)
         self._obs_lock = threading.Lock()
-        #: serializes run requests (runs mutate process-wide memos)
-        self._exec_lock = threading.Lock()
         self._memory: OrderedDict = OrderedDict()  # closure key -> program
         self._mem_lock = threading.Lock()
         self.started = time.time()
@@ -260,11 +232,10 @@ class CompileService:
         ok = False
         try:
             with request_obs.span("service_request", "service", endpoint="run"):
-                with self._exec_lock, _MemoGuard():
-                    if "workload" in payload:
-                        result = self._run_workload(payload, request_obs)
-                    else:
-                        result = self._run_kernel(payload, request_obs)
+                if "workload" in payload:
+                    result = self._run_workload(payload, request_obs)
+                else:
+                    result = self._run_kernel(payload, request_obs)
             ok = True
             return result
         finally:

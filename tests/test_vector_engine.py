@@ -8,15 +8,19 @@ Also covers backend registration, the ``vector.*`` counter surface and
 the per-kernel fallback behavior.
 """
 
+import gc
+import pickle
 import warnings
+import weakref
 
 import pytest
 
 from repro.backend import VectorBackend
-from repro.backend.vector import clear_memos
+from repro.exec import VectorFunction
 from repro.obs import Observer
+from repro.runtime import ConcordRuntime, compile_source
 from repro.runtime.system import ultrabook
-from repro.workloads import all_workloads
+from repro.workloads import Workload, all_workloads
 
 from .test_engine_equivalence import NINE, SCALE, _assert_trace_equal, _run
 
@@ -24,13 +28,12 @@ WORKLOADS = all_workloads()
 
 
 @pytest.fixture(autouse=True)
-def _fresh_memos():
-    """The backend memoizes per-kernel routing process-wide; clear it so
-    every test exercises the optimistic vector path deterministically,
+def _fresh_programs(monkeypatch):
+    """Routing lives on the compiled program and ``Workload.compile``
+    shares programs across tests; give every test fresh compiles so it
+    exercises the optimistic vector path from a cold state,
     independent of test order."""
-    clear_memos()
-    yield
-    clear_memos()
+    monkeypatch.setattr(Workload, "_program_cache", {})
 
 
 @pytest.mark.parametrize("name", NINE)
@@ -140,6 +143,60 @@ class TestVectorCounters:
 
     def test_fallback_lanes_still_counted_as_invocations(self):
         for name in NINE:
-            clear_memos()
             counters = _observed_counters(name, "vector")
             assert counters.get("engine.invocations.gpu", 0) > 0, name
+
+
+def _run_program(cls, program):
+    """One fresh vector-engine runtime over ``program``; returns the
+    reports."""
+    rt = ConcordRuntime(
+        program, ultrabook(), region_size=cls.region_size, engine="vector"
+    )
+    workload = cls()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state = workload.build(rt, 0.1)
+        reports = workload.run(rt, state)
+        workload.validate(rt, state)
+    return reports
+
+
+def _compile(cls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return compile_source(cls.source, module_name=cls.name)
+
+
+def test_program_owns_its_vector_state():
+    """Columnar code and routing live on the compiled program: a dropped
+    program frees them, every runtime over one program shares one
+    compile of each kernel, and none of it enters the artifact."""
+    cls = WORKLOADS["ClothPhysics"]
+    modules = []
+    for _ in range(3):
+        program = _compile(cls)
+        _run_program(cls, program)
+        modules.append(weakref.ref(program.module))
+        del program
+    gc.collect()
+    assert [ref() for ref in modules] == [None, None, None]
+
+    program = _compile(cls)
+    cold = pickle.dumps(program)
+    first = _run_program(cls, program)
+    second = _run_program(cls, program)
+    assert [r.report.seconds for r in first] == [
+        r.report.seconds for r in second
+    ]
+    compiled = [
+        vfn.function
+        for cache in program.vector_state.code.values()
+        for vfn in cache._cache.values()
+        if isinstance(vfn, VectorFunction)
+    ]
+    kernels = {kinfo.gpu_kernel for kinfo in program.kernels.values()}
+    ran = [fn for fn in compiled if fn in kernels]
+    assert ran  # the kernels vectorized
+    assert len(ran) == len(set(ran))  # one VectorFunction per kernel
+    assert pickle.dumps(program) == cold

@@ -23,6 +23,7 @@ cache, private pool and SVM region exactly as the monolith did.
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,7 +55,14 @@ class Backend(abc.ABC):
     capabilities: frozenset = frozenset()
 
     def __init__(self, rt):
-        self.rt = rt
+        # The runtime owns its backends; a weak back-reference keeps the
+        # pair out of a reference cycle, so a dropped runtime (and its
+        # region) is freed at once, not at the next full collection.
+        self._rt = weakref.ref(rt)
+
+    @property
+    def rt(self):
+        return self._rt()
 
     # -- chunk-level primitives -------------------------------------------
 

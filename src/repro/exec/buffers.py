@@ -5,7 +5,8 @@ Two pieces of infrastructure that keep the hot execution paths cheap:
 * :class:`MemEventColumns` — a columnar memory-event buffer (parallel
   ``array`` columns of ints rather than one ``MemEvent`` object per dynamic
   access).  The threaded-code engine appends five ints per access instead
-  of allocating an object; the timing models consume either representation
+  of allocating an object.  The GPU timing model reads the buffer
+  directly as a NumPy array; the CPU model consumes either representation
   through :func:`iter_mem_events` (or plain iteration, which adapts each
   row back into a ``MemEvent``).
 

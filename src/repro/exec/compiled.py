@@ -341,6 +341,11 @@ class CodeCache:
         # recursive) calls resolve to the same object.
         self._cache[key] = compiled
         compiled._compile()
+        # Only compilation resolves callees through the cache; dropping
+        # the back-reference keeps cache and code out of a reference
+        # cycle, so a dropped runtime frees its region without waiting
+        # for the cyclic garbage collector.
+        compiled.cache = None
         return compiled
 
 

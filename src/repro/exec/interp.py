@@ -54,8 +54,9 @@ class ExecTrace:
     ``mem_events`` is either a plain list of :class:`MemEvent` (the
     reference interpreter's representation) or a columnar
     :class:`~repro.exec.buffers.MemEventColumns` buffer (the threaded-code
-    engine's); both support ``append``/``len``/iteration, and the timing
-    models stream either through
+    engine's); both support ``append``/``len``/iteration.  The GPU timing
+    model reads the columnar buffer as an array (converting a list); the
+    CPU model streams either through
     :func:`~repro.exec.buffers.iter_mem_events`.
 
     ``mem_event_cap`` defaults to :data:`DEFAULT_MEM_EVENT_CAP`, the same

@@ -37,14 +37,29 @@ class CacheModel:
             bucket.popitem(last=False)
         return False
 
+    def access_many(self, lines: list) -> int:
+        """Touch ``lines`` in order, exactly as many :meth:`access` calls
+        would; returns the number of hits."""
+        sets = self._sets
+        num_sets = self.num_sets
+        assoc = self.assoc
+        hits = 0
+        for line in lines:
+            bucket = sets[line % num_sets]
+            if line in bucket:
+                bucket.move_to_end(line)
+                hits += 1
+            else:
+                bucket[line] = True
+                if len(bucket) > assoc:
+                    bucket.popitem(last=False)
+        self.stats.hits += hits
+        self.stats.misses += len(lines) - hits
+        return hits
+
     def publish(self, counters, prefix: str) -> None:
         """Fold the current hit/miss totals into an observability counter
         registry under ``<prefix>.hits`` / ``<prefix>.misses``.  Kept out
         of :meth:`access` so the hot path never pays for metrics."""
         counters.add(f"{prefix}.hits", self.stats.hits)
         counters.add(f"{prefix}.misses", self.stats.misses)
-
-    def reset(self) -> None:
-        for bucketet in self._sets:
-            bucketet.clear()
-        self.stats = CacheStats()

@@ -39,15 +39,28 @@ joules on a :class:`~repro.gpu.device.GpuDevice`:
 
 The returned :class:`DeviceReport` carries cycles, seconds, joules and the
 breakdown the benchmarks print.
+
+Evaluation is columnar: a launch is priced as NumPy arrays over bounded
+batches of whole warps, reading each lane's ``MemEventColumns`` buffer
+in place.  The numbers are exactly those of a per-event loop: counts
+times integral latencies, float reductions in the loop's sequential
+order (``cumsum`` and lane-by-lane products, never pairwise ``np.sum``),
+and a sequential LRU fed the transactions in the loop's order
+(docs/MODEL.md, "Columnar evaluation and exactness").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
-from ..exec.buffers import iter_mem_events
+import numpy as np
+
+from ..exec.buffers import MemEventColumns
 from ..exec.interp import ExecTrace
 from ..ir import Function
+from ..ir.types import IntType
+from ..ir.values import BINARY_OPS
 from .cache import CacheModel
 from .device import GpuDevice
 
@@ -103,9 +116,6 @@ GATHER_CRACK_SLOTS = 2.0
 
 
 def _instruction_slots(instr) -> float:
-    from ..ir.types import IntType
-    from ..ir.values import BINARY_OPS
-
     if instr.op == "call" and instr.callee is not None:
         name = instr.callee.name
         if name.startswith("svm.to_"):
@@ -155,6 +165,201 @@ def _guarded_blocks(kernel: Function) -> dict[int, int]:
     return guarded
 
 
+#: Bounds on one batch of warps evaluated together: its lanes (the
+#: divergence count matrix is lanes x distinct blocks) and its memory
+#: events.  A batch always holds at least one warp.
+BATCH_LANES = 2048
+BATCH_EVENTS = 16384
+
+
+def _warp_batches(lane_events: np.ndarray, w: int):
+    """``(first_warp, stop_warp)`` ranges of consecutive warps within the
+    batch bounds, given each lane's memory-event count."""
+    warp_events = np.add.reduceat(lane_events, np.arange(0, len(lane_events), w))
+    start = events = 0
+    for warp, count in enumerate(warp_events.tolist()):
+        full = (warp - start) * w >= BATCH_LANES or events + count > BATCH_EVENTS
+        if warp > start and full:
+            yield start, warp
+            start, events = warp, 0
+        events += count
+    if len(warp_events):
+        yield start, len(warp_events)
+
+
+def _pack(columns) -> np.ndarray:
+    """One int64 key per row that orders the rows lexicographically by
+    their (non-negative integer) columns, so equal keys mean equal rows.
+    Columns are offset to start at zero and mixed in by multiplication;
+    where the product would overflow, the running key (and if need be the
+    column) is replaced by its dense rank first."""
+    key = None
+    for column in columns:
+        column = column.astype(np.int64)
+        if len(column):
+            column -= column.min()
+        width = int(column.max(initial=0)) + 1
+        if key is None:
+            key = column
+            continue
+        if (int(key.max(initial=0)) + 1) * width >= 1 << 63:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            if (int(key.max(initial=0)) + 1) * width >= 1 << 63:
+                column = np.unique(column, return_inverse=True)[1].astype(np.int64)
+                width = int(column.max(initial=0)) + 1
+        key = key * width + column
+    return key
+
+
+def _event_rows(lane):
+    """One lane's memory events as the columnar buffer's interleaved
+    ``(instr_uid, seq, address, size, is_store)`` rows; a list of
+    ``MemEvent`` objects (the reference interpreter's traces) is
+    converted."""
+    events = lane.mem_events
+    if isinstance(events, MemEventColumns):
+        return events.data
+    columns = MemEventColumns()
+    for event in events:
+        columns.append(event)
+    return columns.data
+
+
+def _issue(lanes: list, w: int, sizes: dict, guarded: dict):
+    """Per-warp issue slots and converged issue slots of a batch of whole
+    warps, from a ``(warps, w, blocks)`` matrix of per-lane block counts.
+
+    Every float reduction runs in the order of the original per-warp
+    loop: ``miss_all`` multiplies lane by lane, and the per-block terms
+    add up in sorted block-uid order (``cumsum`` accumulates sequentially;
+    blocks a warp never ran add an exact ``0.0``)."""
+    n = len(lanes)
+    warps = (n + w - 1) // w
+    block_counts = [lane.block_counts for lane in lanes]
+    per_lane = list(map(len, block_counts))
+    total = sum(per_lane)
+    if not total:
+        return np.zeros(warps), np.zeros(warps)
+    uids = np.fromiter(chain.from_iterable(block_counts), np.int64, total)
+    counts = np.fromiter(
+        chain.from_iterable(c.values() for c in block_counts), np.int64, total
+    )
+    blocks, column = np.unique(uids, return_inverse=True)
+    matrix = np.zeros((warps * w, len(blocks)), dtype=np.int64)
+    matrix[np.repeat(np.arange(n), per_lane), column] = counts
+    matrix = matrix.reshape(warps, w, len(blocks))
+    warp_lanes = np.full(warps, w)
+    warp_lanes[-1] = n - (warps - 1) * w
+    block_list = blocks.tolist()
+    size = np.array([sizes.get(uid, 1) for uid in block_list], dtype=np.float64)
+    block_max = matrix.max(axis=1)
+    converged = np.cumsum(matrix.sum(axis=1) / warp_lanes[:, None] * size, axis=1)
+
+    # Independent-outcomes correction for blocks guarded by a condbr
+    # whose block some lane of the batch ran.
+    position = {uid: index for index, uid in enumerate(block_list)}
+    pairs = [
+        (index, position[guarded[uid]])
+        for index, uid in enumerate(block_list)
+        if guarded.get(uid) in position
+    ]
+    estimate = block_max.astype(np.float64)
+    if pairs:
+        child_cols, parent_cols = (list(c) for c in zip(*pairs))
+        child = matrix[:, :, child_cols]
+        parent = matrix[:, :, parent_cols]
+        entered = parent > 0
+        p_enter = np.minimum(
+            1.0, np.divide(child, parent, out=np.zeros(child.shape), where=entered)
+        )
+        factor = np.where(entered, 1.0 - p_enter, 1.0)
+        miss_all = factor[:, 0, :].copy()
+        for lane in range(1, w):
+            miss_all *= factor[:, lane, :]
+        parent_occ = block_max[:, parent_cols]
+        corrected = np.maximum(estimate[:, child_cols], parent_occ * (1.0 - miss_all))
+        apply = (parent_occ > 0) & (warp_lanes[:, None] > 1)
+        estimate[:, child_cols] = np.where(apply, corrected, estimate[:, child_cols])
+    issue = np.cumsum(estimate * size, axis=1)
+    return issue[:, -1], converged[:, -1]
+
+
+def _transactions(buffers: list, w: int, line_bytes: int):
+    """Coalesce a batch of whole warps' memory events (one
+    :func:`_event_rows` buffer per lane).
+
+    Returns ``(lines, tx_warp, occ_warp, uid, seq)``: one row per
+    transaction -- a distinct ``(warp, instr_uid, seq, line)`` -- in the
+    order the L3 sees them (warp by warp, occurrences by first
+    appearance, lines by first appearance within the occurrence), and
+    the warp of each distinct ``(warp, instr_uid, seq)`` occurrence.
+    ``None`` when the batch recorded no events."""
+    lengths = [len(rows) // MemEventColumns.STRIDE for rows in buffers]
+    rows = np.frombuffer(b"".join(buffers), dtype=np.uint64)
+    if not len(rows):
+        return None
+    rows = rows.reshape(-1, MemEventColumns.STRIDE)
+    uid, seq = rows[:, 0], rows[:, 1]
+    # Signed floor division matches Python's for every address below 2**63.
+    address = rows[:, 2].astype(np.int64)
+    first = address // line_bytes
+    address += rows[:, 3].astype(np.int64) - 1
+    line_count = np.maximum(0, address // line_bytes - first + 1)
+    del address
+    event_warp = np.repeat(np.arange(len(buffers)) // w, lengths)
+    occ_key = _pack([event_warp, uid, seq])
+    if (line_count == 1).all():
+        entry_event, entry_occ, line, placeholder = None, occ_key, first, None
+    else:
+        # Accesses that straddle lines expand to one entry per line.  A
+        # zero-byte access touches no line but keeps a placeholder entry,
+        # so its occurrence still counts and is ordered by its first event.
+        entries = np.maximum(line_count, 1)
+        entry_event = np.repeat(np.arange(len(first)), entries)
+        starts = np.cumsum(entries) - entries
+        line = first[entry_event] + (np.arange(len(entry_event)) - starts[entry_event])
+        entry_occ = occ_key[entry_event]
+        placeholder = (line_count == 0)[entry_event]
+    del first, line_count
+
+    # _pack is lexicographic, so sorting by (occurrence, line) groups the
+    # transactions and keeps each occurrence's transactions together; the
+    # least entry index in a group is its first appearance.
+    keys = [entry_occ, line] if placeholder is None else [entry_occ, line, placeholder]
+    tx_key = _pack(keys)
+    perm = np.argsort(tx_key)
+    tx_first = np.minimum.reduceat(perm, _group_starts(tx_key[perm]))
+    occ_start = _group_starts(entry_occ[tx_first])
+    occ_first = np.minimum.reduceat(tx_first, occ_start)
+    occ_sizes = np.diff(occ_start, append=len(tx_first))
+    occ_of_tx = np.repeat(np.arange(len(occ_start)), occ_sizes)
+    tx_first = tx_first[np.argsort(occ_first[occ_of_tx] * len(perm) + tx_first)]
+    if placeholder is not None:
+        tx_first = tx_first[~placeholder[tx_first]]
+        tx_event, occ_event = entry_event[tx_first], entry_event[occ_first]
+    else:
+        tx_event, occ_event = tx_first, occ_first
+    tx_warp, occ_warp = event_warp[tx_event], event_warp[occ_event]
+    return line[tx_first], tx_warp, occ_warp, uid[tx_event], seq[tx_event]
+
+
+def _group_starts(ordered: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values in ``ordered`` begins."""
+    return np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+
+
+def _contention(uid, seq, line, eu, ports: int) -> int:
+    """Extra serialized accesses: for each ``(instr_uid, seq, line)``, the
+    number of distinct EUs touching it beyond the line's ports."""
+    touch = _pack([uid, seq, line])
+    pair = _pack([touch, eu])
+    perm = np.argsort(pair)
+    # one entry per distinct (touch, EU), in touch order
+    distinct = touch[perm[_group_starts(pair[perm])]]
+    eus = np.diff(_group_starts(distinct), append=len(distinct))
+    return int(np.maximum(eus - ports, 0).sum())
+
+
 def time_gpu_kernel(
     device: GpuDevice,
     kernel: Function,
@@ -166,112 +371,58 @@ def time_gpu_kernel(
     guarded = _guarded_blocks(kernel)
     l3 = l3 or CacheModel(device.l3_size_bytes, device.l3_line_bytes, device.l3_assoc)
     w = device.simd_width
+    line_bytes = device.l3_line_bytes
+    num_warps = (len(traces) + w - 1) // w
 
-    total_issue = 0.0
-    converged_issue = 0.0
-    total_instructions = 0
-    total_translations = 0
-
+    total_instructions = sum(lane.instructions for lane in traces)
+    total_translations = sum(lane.translations for lane in traces)
+    rows = [_event_rows(lane) for lane in traces]
+    lane_events = np.fromiter(map(len, rows), np.int64, len(rows))
+    lane_events //= MemEventColumns.STRIDE
+    warp_issue = np.zeros(num_warps)
+    warp_converged = np.zeros(num_warps)
+    warp_tx = np.zeros(num_warps, dtype=np.int64)
+    warp_occ = np.zeros(num_warps, dtype=np.int64)
     mem_transactions = 0
     l3_hits = 0
-    l3_misses = 0
-    mem_latency_cycles = 0.0
-    dram_bytes = 0
-
-    # contention bookkeeping: (instr_uid, seq, line) -> set of EU ids
-    line_touches: dict[tuple, set] = {}
-
-    num_warps = (len(traces) + w - 1) // w
-    for warp_index in range(num_warps):
-        lanes = traces[warp_index * w : (warp_index + 1) * w]
-        eu = warp_index % device.num_eus
-
-        # -- compute issue (divergence model)
-        block_max: dict[int, int] = {}
-        block_sum: dict[int, int] = {}
-        per_lane_counts: list[dict] = []
-        for lane in lanes:
-            total_instructions += lane.instructions
-            total_translations += lane.translations
-            per_lane_counts.append(lane.block_counts)
-            for uid, count in lane.block_counts.items():
-                if count > block_max.get(uid, 0):
-                    block_max[uid] = count
-                block_sum[uid] = block_sum.get(uid, 0) + count
-        # Sum in canonical (sorted-uid) order: float accumulation order must
-        # not depend on trace-dict insertion order, which differs between
-        # the reference interpreter and the threaded-code engine.
-        warp_issue = 0.0
-        for uid in sorted(block_max):
-            max_count = block_max[uid]
-            estimate = float(max_count)
-            parent = guarded.get(uid)
-            if parent is not None and len(lanes) > 1:
-                parent_occ = block_max.get(parent, 0)
-                if parent_occ > 0:
-                    miss_all = 1.0
-                    for counts in per_lane_counts:
-                        parent_count = counts.get(parent, 0)
-                        if parent_count <= 0:
-                            continue
-                        p_enter = min(1.0, counts.get(uid, 0) / parent_count)
-                        miss_all *= 1.0 - p_enter
-                    estimate = max(estimate, parent_occ * (1.0 - miss_all))
-            warp_issue += estimate * sizes.get(uid, 1)
-        warp_converged = sum(
-            (block_sum[uid] / len(lanes)) * sizes.get(uid, 1)
-            for uid in sorted(block_sum)
+    touches = []
+    for start, stop in _warp_batches(lane_events, w):
+        lanes = traces[start * w : stop * w]
+        warp_issue[start:stop], warp_converged[start:stop] = _issue(
+            lanes, w, sizes, guarded
         )
-        total_issue += warp_issue
-        converged_issue += warp_converged
+        batch = _transactions(rows[start * w : stop * w], w, line_bytes)
+        if batch is None:
+            continue
+        lines, tx_warp, occ_warp, uid, seq = batch
+        mem_transactions += len(lines)
+        l3_hits += l3.access_many(lines.tolist())
+        warps = stop - start
+        warp_tx[start:stop] += np.bincount(tx_warp, minlength=warps)
+        warp_occ[start:stop] += np.bincount(occ_warp, minlength=warps)
+        touches.append((uid, seq, lines, (tx_warp + start) % device.num_eus))
+    l3_misses = mem_transactions - l3_hits
 
-        # -- memory transactions (coalescing per dynamic occurrence)
-        occurrence: dict[tuple, list] = {}
-        setdefault = occurrence.setdefault
-        for lane in lanes:
-            # (instr_uid, seq, address, size) tuples; streams either the
-            # list or the columnar trace representation.
-            for instr_uid, seq, address, size in iter_mem_events(lane):
-                setdefault((instr_uid, seq), []).append((address, size))
-        line_bytes = device.l3_line_bytes
-        l3_access = l3.access
-        l3_hit_cycles = device.l3_hit_cycles
-        dram_latency = device.dram_latency_cycles
-        touches_setdefault = line_touches.setdefault
-        warp_tx = 0
-        for key, events in occurrence.items():
-            lines = {}
-            for address, size in events:
-                first = address // line_bytes
-                last = (address + size - 1) // line_bytes
-                if first == last:
-                    lines[first] = True
-                else:
-                    for line in range(first, last + 1):
-                        lines[line] = True
-            warp_tx += len(lines)
-            instr_uid, seq = key
-            for line in lines:
-                mem_transactions += 1
-                if l3_access(line):
-                    l3_hits += 1
-                    mem_latency_cycles += l3_hit_cycles
-                else:
-                    l3_misses += 1
-                    mem_latency_cycles += dram_latency
-                    dram_bytes += line_bytes
-                touches_setdefault((instr_uid, seq, line), set()).add(eu)
-        crack_slots = GATHER_CRACK_SLOTS * max(0, warp_tx - len(occurrence))
-        total_issue += crack_slots
+    # total_issue adds each warp's issue slots, then its crack slots, in
+    # warp order; cumsum keeps that sequential order exactly.
+    crack_slots = GATHER_CRACK_SLOTS * np.maximum(0, warp_tx - warp_occ)
+    interleaved = np.empty(2 * num_warps)
+    interleaved[0::2] = warp_issue
+    interleaved[1::2] = crack_slots
+    total_issue = float(np.cumsum(interleaved)[-1]) if num_warps else 0.0
+    converged_issue = float(np.cumsum(warp_converged)[-1]) if num_warps else 0.0
 
+    # The latencies and the contention penalty are whole cycles, so count
+    # x constant equals the per-transaction float sum exactly.
+    mem_latency_cycles = (
+        l3_hits * device.l3_hit_cycles + l3_misses * device.dram_latency_cycles
+    )
+    dram_bytes = l3_misses * line_bytes
     contention_events = 0
-    contention_cycles = 0.0
-    ports = device.l3_line_ports
-    for eus in line_touches.values():
-        extra = max(0, len(eus) - ports)
-        if extra:
-            contention_events += extra
-            contention_cycles += extra * device.contention_penalty_cycles
+    if touches:
+        uid, seq, lines, eus = (np.concatenate(column) for column in zip(*touches))
+        contention_events = _contention(uid, seq, lines, eus, device.l3_line_ports)
+    contention_cycles = contention_events * device.contention_penalty_cycles
 
     # -- fold into wall-clock cycles
     #

@@ -48,6 +48,7 @@ and overlap.  See ``docs/GRAPH.md``.
 from __future__ import annotations
 
 import warnings
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
@@ -279,7 +280,8 @@ class TaskGraph:
                 f"unknown graph placement {placement!r}; choose from "
                 f"{PLACEMENTS}"
             )
-        self.rt = rt
+        # weak for the same reason as Backend.rt: the runtime owns us
+        self._rt = weakref.ref(rt)
         self.placement = placement
         self.futures: list[ConstructFuture] = []
         #: per-device virtual clocks (seconds); the wall time is their max
@@ -294,6 +296,10 @@ class TaskGraph:
         self._reported = 0
 
     # -- plumbing ----------------------------------------------------------
+
+    @property
+    def rt(self):
+        return self._rt()
 
     @property
     def _counters(self):

@@ -31,6 +31,7 @@ earliest-completion-time chunk dispatch:
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from ..gpu.cache import CacheModel
@@ -96,7 +97,8 @@ class Scheduler:
                 f"unknown scheduling policy {policy!r}; choose from "
                 f"{sorted(POLICIES)}"
             )
-        self.rt = rt
+        # weak for the same reason as Backend.rt: the runtime owns us
+        self._rt = weakref.ref(rt)
         self.policy = policy
         self._policies = {name: cls() for name, cls in POLICIES.items()}
         #: (body-class name, device) -> [items, device seconds] observed,
@@ -109,6 +111,10 @@ class Scheduler:
         self.repartitions = 0
 
     # -- plumbing ----------------------------------------------------------
+
+    @property
+    def rt(self):
+        return self._rt()
 
     @property
     def counters(self):

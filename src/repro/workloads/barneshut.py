@@ -234,28 +234,27 @@ def _build_octree(positions, masses) -> _PyNode:
 
 def _emit_ropes(rt: ConcordRuntime, root: _PyNode):
     """Materialize the octree in SVM with more/next rope pointers."""
+    return rt.view("OctNode", _emit_node(rt, root, 0))
 
-    def emit(node, next_view_addr):
-        view = rt.new("OctNode")
-        view.cx, view.cy, view.cz = node.cx, node.cy, node.cz
-        view.mass = node.mass
-        view.size = node.size
-        view.body_index = node.body_index if node.body_index is not None else -1
-        view.next = next_view_addr
-        if node.children is None:
-            view.more = 0
-        else:
-            kids = [c for c in node.children if c is not None]
-            follow = next_view_addr
-            child_addrs = []
-            for child in reversed(kids):
-                child_view_addr = emit(child, follow)
-                follow = child_view_addr
-                child_addrs.append(child_view_addr)
-            view.more = follow if kids else 0
-        return view.addr
 
-    return rt.view("OctNode", emit(root, 0))
+def _emit_node(rt: ConcordRuntime, node: _PyNode, next_view_addr: int) -> int:
+    # Module-level rather than a closure: a recursive nested function is a
+    # reference cycle that would keep ``rt`` alive until a full collection.
+    view = rt.new("OctNode")
+    view.cx, view.cy, view.cz = node.cx, node.cy, node.cz
+    view.mass = node.mass
+    view.size = node.size
+    view.body_index = node.body_index if node.body_index is not None else -1
+    view.next = next_view_addr
+    if node.children is None:
+        view.more = 0
+    else:
+        kids = [c for c in node.children if c is not None]
+        follow = next_view_addr
+        for child in reversed(kids):
+            follow = _emit_node(rt, child, follow)
+        view.more = follow if kids else 0
+    return view.addr
 
 
 def _reference_force(root: _PyNode, position, self_index):

@@ -1,7 +1,10 @@
 """Unit tests for the GPU/CPU device models, cache model and timing."""
 
+import dataclasses
+
 import pytest
 
+from repro.exec import MemEventColumns
 from repro.exec.interp import ExecTrace, MemEvent
 from repro.gpu import CacheModel, hd4600, hd5000, time_gpu_kernel
 from repro.gpu.timing import _guarded_blocks, block_sizes
@@ -44,6 +47,18 @@ def trace_with(blocks: dict, events=(), instructions=0):
     trace.mem_events = list(events)
     trace.instructions = instructions or sum(blocks.values())
     return trace
+
+
+def columnar_trace_with(blocks: dict, events=(), instructions=0):
+    trace = trace_with(blocks, (), instructions)
+    trace.mem_events = MemEventColumns()
+    for event in events:
+        trace.mem_events.append(event)
+    return trace
+
+
+def load(uid, seq, address, size=4):
+    return MemEvent(instr_uid=uid, seq=seq, address=address, size=size, is_store=False)
 
 
 class TestCacheModel:
@@ -203,6 +218,121 @@ class TestGpuMemoryModel:
         report = time_gpu_kernel(device, kernel, lanes)
         power = report.energy_joules / report.seconds
         assert power <= device.power_budget_watts * 1.01
+
+
+class TestColumnarGpuModel:
+    """Edge cases of the columnar timing model, against hand-computed
+    values."""
+
+    def test_empty_launch(self):
+        report = time_gpu_kernel(hd5000(), straight_line_kernel(), [])
+        assert report == dataclasses.replace(
+            report, seconds=0.0, energy_joules=0.0, cycles=0.0, instructions=0,
+            issue_slots=0.0, mem_transactions=0, l3_hits=0, l3_misses=0,
+            contention_events=0, contention_cycles=0.0, divergence_waste=0.0,
+            translations=0,
+        )
+
+    def test_lanes_without_events(self):
+        kernel = straight_line_kernel(10)
+        uid = kernel.blocks[0].uid
+        size = block_sizes(kernel)[uid]
+        lanes = [columnar_trace_with({uid: 1}) for _ in range(20)]
+        lanes[3] = columnar_trace_with({uid: 1}, [load(7, 0, 0x2000)])
+        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        assert report.mem_transactions == 1
+        assert (report.l3_hits, report.l3_misses) == (0, 1)
+        assert report.issue_slots == 2 * size
+        silent = time_gpu_kernel(
+            hd5000(), kernel, [columnar_trace_with({uid: 1}) for _ in range(20)]
+        )
+        assert silent.mem_transactions == 0
+        assert silent.issue_slots == 2 * size
+
+    def test_partial_last_warp(self):
+        """17 lanes make a full warp and a one-lane warp on the next EU:
+        the lone lane gets no independent-outcomes correction, and its
+        access to the full warp's line contends."""
+        kernel = branchy_kernel()
+        entry, then, done = kernel.blocks
+        sizes = block_sizes(kernel)
+        blocks = {entry.uid: 100, then.uid: 50, done.uid: 100}
+        lanes = [
+            columnar_trace_with(blocks, [load(7, 0, 0x2000)]) for _ in range(17)
+        ]
+        report = time_gpu_kernel(hd5000(), kernel, lanes)
+        full = 100 * sizes[entry.uid]
+        full += max(50.0, 100 * (1.0 - 0.5**16)) * sizes[then.uid]
+        full += 100 * sizes[done.uid]
+        lone = 100 * sizes[entry.uid] + 50 * sizes[then.uid] + 100 * sizes[done.uid]
+        assert report.issue_slots == full + lone
+        assert report.mem_transactions == 2
+        assert (report.l3_hits, report.l3_misses) == (1, 1)
+        assert report.contention_events == 1
+
+    def test_access_straddling_a_line(self):
+        """An 8-byte access at offset 60 touches two lines: two
+        transactions for one occurrence, so one cracked message."""
+        kernel = straight_line_kernel(2)
+        uid = kernel.blocks[0].uid
+        size = block_sizes(kernel)[uid]
+        one = time_gpu_kernel(
+            hd5000(), kernel, [columnar_trace_with({uid: 1}, [load(7, 0, 60, 8)])]
+        )
+        assert one.mem_transactions == 2
+        assert one.issue_slots == size + 2.0
+        # 16 lanes straddling consecutive line pairs share 15 of them
+        lanes = [
+            columnar_trace_with({uid: 1}, [load(7, 0, 64 * i + 60, 8)])
+            for i in range(16)
+        ]
+        warp = time_gpu_kernel(hd5000(), kernel, lanes)
+        assert warp.mem_transactions == 17
+        assert warp.issue_slots == size + 2.0 * 16
+
+    def test_list_traces_match_columnar_traces(self):
+        kernel = branchy_kernel()
+        entry, then, done = kernel.blocks
+        lanes = []
+        for lane in range(40):
+            blocks = {entry.uid: 3, then.uid: lane % 3, done.uid: 3}
+            events = [
+                load(7, seq, 0x4000 + 4 * lane + 4096 * (seq % 2), 4 + 4 * (lane % 3))
+                for seq in range(3)
+            ]
+            events.append(load(9, 0, 0x8000 + 64 * (lane % 5) + 62, 4))
+            lanes.append((blocks, events))
+        as_lists = [trace_with(b, e) for b, e in lanes]
+        as_columns = [columnar_trace_with(b, e) for b, e in lanes]
+        reports, caches = [], []
+        for traces in (as_lists, as_columns):
+            cache = CacheModel(8 * 64, 64, 2)
+            reports.append(time_gpu_kernel(hd5000(), kernel, traces, l3=cache))
+            caches.append(([list(s) for s in cache._sets], cache.stats))
+        assert reports[0] == reports[1]
+        assert caches[0] == caches[1]
+        assert reports[0].mem_transactions > 0 and reports[0].contention_events > 0
+
+    def test_shared_cache_sees_transactions_in_occurrence_order(self):
+        """A pre-warmed one-set, two-way L3 is probed occurrence by
+        occurrence in first-appearance order, lines by first appearance
+        within the occurrence: 100 hit, 102 miss (evicts 101), 101 miss
+        (evicts 100), 100 miss (evicts 102).  Event order would instead
+        hit 100 and 101."""
+        kernel = straight_line_kernel(2)
+        uid = kernel.blocks[0].uid
+        l3 = CacheModel(2 * 64, 64, 2)
+        l3.access(100)
+        l3.access(101)
+        lanes = [
+            columnar_trace_with({uid: 1}, [load(1, 0, 100 * 64), load(2, 0, 101 * 64)]),
+            columnar_trace_with({uid: 1}, [load(1, 0, 102 * 64), load(2, 0, 100 * 64)]),
+        ]
+        device = hd5000()
+        report = time_gpu_kernel(device, kernel, lanes, l3=l3)
+        assert list(l3._sets[0]) == [101, 100]
+        assert (l3.stats.hits, l3.stats.misses) == (1, 5)
+        assert (report.l3_hits, report.l3_misses, report.mem_transactions) == (1, 3, 4)
 
 
 class TestCpuModel:

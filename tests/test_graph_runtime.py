@@ -2,7 +2,7 @@
 dependency inference from declared read/write sets, graph-vs-sync
 bit-identity on all nine workloads, topological-order freedom as a
 hypothesis property, report-merge algebra, the overlap evaluation
-scenarios, the process-wide cache reset, and the graph fuzz target."""
+scenarios, and the graph fuzz target."""
 
 import random
 import warnings

@@ -1,11 +1,16 @@
 """Tests for the ConcordRuntime host API: object construction, views,
 host calls, JIT caching, accounting."""
 
+import gc
+import warnings
+import weakref
+
 import pytest
 
 from repro.ir.types import F32, I32, I64, ptr
 from repro.runtime import ConcordRuntime, OptConfig, compile_source, desktop, ultrabook
 from repro.svm import MemoryFault
+from repro.workloads import all_workloads
 
 SOURCE = """
 class Point {
@@ -155,3 +160,35 @@ class TestViewsThroughRuntime:
     def test_out_of_region_read_faults(self, rt):
         with pytest.raises(MemoryFault):
             rt.region.read_int(0x10, 4, signed=True)
+
+
+class TestRuntimeLifetime:
+    """The runtime owns its backends, scheduler and task graph, which
+    refer back to it weakly, so a dropped runtime is freed by reference
+    counting; dropping it also reclaims the region its compiled code
+    pins, without waiting for a full collection."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"engine": "vector"}, {"policy": "hybrid"}, {"graph": True}]
+    )
+    def test_dropped_runtime_is_freed_without_a_collection(self, kwargs):
+        workload = all_workloads()["BarnesHut"]
+        gc.disable()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                runtime = workload.make_runtime(
+                    OptConfig.gpu_all(), ultrabook(), **kwargs
+                )
+                state = workload().build(runtime, 0.05)
+                workload().run(runtime, state)
+                if kwargs.get("graph"):
+                    runtime.wait()
+            alive = weakref.ref(runtime)
+            region = weakref.ref(runtime.region)
+            del runtime, state
+            assert alive() is None
+            # its compiled code's cycles are collected on the way out
+            assert region() is None
+        finally:
+            gc.enable()

@@ -182,8 +182,9 @@ def test_pickle_roundtrip_preserves_program_id():
 
 
 class TestProgramIdCollisions:
-    """The satellite regression: program ids must never alias the
-    process-wide ``(program_id, kernel_name)`` JIT and vector memos."""
+    """Program ids must never alias: a runtime's JIT cache is keyed
+    ``(program_id, kernel_name)``, and kernel names repeat across
+    programs.  (Vector-engine state lives on the program itself.)"""
 
     SOURCE_A = """
 class Body {
